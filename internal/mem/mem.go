@@ -1,10 +1,12 @@
 // Package mem implements the simulated 64-bit byte-addressable memory of the
-// machine: sparse 4 KiB pages with R/W/X permissions. It stands in for the
+// machine: sparse 4 KiB pages with R/W/X permissions, mapped as a table of
+// permission extents and materialized on first touch. It stands in for the
 // hardware MMU the paper relies on (non-writable code pages for the threat
 // model of §2, non-executable data pages for DEP, and page-level isolation).
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -76,20 +78,43 @@ type page struct {
 // cacheWays is the size of the page-translation cache (a power of two).
 const cacheWays = 8
 
+// extent is a run of mapped pages [first, last] (page numbers, inclusive)
+// sharing one permission.
+type extent struct {
+	first, last uint64
+	perm        Perm
+}
+
 // Memory is a sparse paged address space. The zero value is an empty address
 // space ready to use.
 //
-// Page data is materialized lazily: Map records permissions only, and the
-// 4 KiB data block is allocated on first touch. A machine maps ~10 MiB of
-// stacks and segments but touches a small fraction of it, so lazy
-// materialization cuts per-machine construction from megabytes of zeroed
-// pages to a handful — which is what keeps the parallel harness fan-out
-// (hundreds of machines) off the garbage collector's back. An untouched
-// page reads as zeroes, exactly as if it had been materialized eagerly.
+// Mappings are an extent table: a short sorted slice of disjoint page
+// ranges, each with one permission, where adjacent ranges of equal
+// permission are always coalesced into one. A machine's address space is
+// a handful of extents (code, rodata, globals, heap, stack) however many
+// pages they span, so Map and Protect cost O(extents), not O(pages).
+// Mapping a range that already lies inside one extent of the same
+// permission is an allocation-free no-op, and mapping pages adjacent to an
+// extent of the same permission grows that extent: malloc's brk growth
+// extends the heap extent and never fragments the table.
+//
+// Page data is materialized lazily: Map and Protect edit the extent table
+// (and the permission of pages already touched), and a page's 4 KiB data
+// block is allocated on first touch. A machine maps ~10 MiB of stacks and
+// segments but touches a small fraction of it, so lazy materialization
+// cuts per-machine construction from megabytes of zeroed pages to a
+// handful — which is what keeps the parallel harness fan-out (hundreds of
+// machines) off the garbage collector's back. An untouched page reads as
+// zeroes, exactly as if it had been materialized eagerly.
 type Memory struct {
-	// perms is the authoritative permission map of every mapped page.
-	perms map[uint64]Perm
-	// pages holds the materialized (touched) pages.
+	// ext is the authoritative permission table: sorted by page, disjoint,
+	// adjacent equal-permission extents coalesced.
+	ext []extent
+	// extScratch is the rebuild buffer Map and Protect swap with ext, so
+	// neither allocates once both have grown to the table's size.
+	extScratch []extent
+	// pages holds the materialized (touched) pages. A materialized page's
+	// perm always equals its extent's.
 	pages map[uint64]*page
 
 	// cache is a tiny direct-mapped translation cache in front of the page
@@ -118,7 +143,24 @@ const pageFreeCap = 1024
 
 // New returns an empty address space.
 func New() *Memory {
-	return &Memory{perms: map[uint64]Perm{}, pages: map[uint64]*page{}}
+	return &Memory{pages: map[uint64]*page{}}
+}
+
+// find returns the index of the extent containing page pn, or -1.
+func (m *Memory) find(pn uint64) int {
+	lo, hi := 0, len(m.ext)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.ext[mid].last < pn {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(m.ext) && m.ext[lo].first <= pn {
+		return lo
+	}
+	return -1
 }
 
 // page returns the page backing addr, materializing a mapped-but-untouched
@@ -131,10 +173,11 @@ func (m *Memory) page(addr uint64) *page {
 	}
 	pg := m.pages[pn]
 	if pg == nil {
-		perm, ok := m.perms[pn]
-		if !ok {
+		i := m.find(pn)
+		if i < 0 {
 			return nil
 		}
+		perm := m.ext[i].perm
 		if n := len(m.free); n > 0 {
 			pg = m.free[n-1]
 			m.free = m.free[:n-1]
@@ -148,30 +191,89 @@ func (m *Memory) page(addr uint64) *page {
 	return pg
 }
 
-// Map maps [addr, addr+size) with the given permissions, rounding to page
-// boundaries. Remapping an existing page updates its permissions and keeps
-// its contents.
-func (m *Memory) Map(addr, size uint64, perm Perm) {
-	if m.perms == nil {
-		m.perms = map[uint64]Perm{}
-		m.pages = map[uint64]*page{}
+// pageRange returns the inclusive page range covering [addr, addr+size);
+// ok is false when it is empty.
+func pageRange(addr, size uint64) (first, last uint64, ok bool) {
+	first = addr >> pageShift
+	last = (addr + size - 1) >> pageShift
+	return first, last, last >= first
+}
+
+// appendExt appends e to out, coalescing it into the previous extent when
+// the two are adjacent with equal permissions.
+func appendExt(out []extent, e extent) []extent {
+	if n := len(out); n > 0 && out[n-1].perm == e.perm && out[n-1].last+1 == e.first {
+		out[n-1].last = e.last
+		return out
 	}
-	first := addr >> pageShift
-	last := (addr + size - 1) >> pageShift
-	for pn := first; pn <= last; pn++ {
-		m.perms[pn] = perm
-		if pg, ok := m.pages[pn]; ok {
+	return append(out, e)
+}
+
+// setFramePerms sets perm on the materialized pages in [first, last],
+// walking whichever is smaller: the range or the materialized set.
+func (m *Memory) setFramePerms(first, last uint64, perm Perm) {
+	if last-first < uint64(len(m.pages)) {
+		for pn := first; ; pn++ {
+			if pg := m.pages[pn]; pg != nil {
+				pg.perm = perm
+			}
+			if pn == last {
+				return
+			}
+		}
+	}
+	for pn, pg := range m.pages {
+		if pn >= first && pn <= last {
 			pg.perm = perm
 		}
 	}
 }
 
+// Map maps [addr, addr+size) with the given permissions, rounding to page
+// boundaries. Remapping an existing page updates its permissions and keeps
+// its contents.
+func (m *Memory) Map(addr, size uint64, perm Perm) {
+	first, last, ok := pageRange(addr, size)
+	if !ok {
+		return
+	}
+	if i := m.find(first); i >= 0 && m.ext[i].last >= last && m.ext[i].perm == perm {
+		return // already mapped so: nothing changes
+	}
+	if m.pages == nil {
+		m.pages = map[uint64]*page{}
+	}
+	out := m.extScratch[:0]
+	inserted := false
+	for _, e := range m.ext {
+		if e.last < first {
+			out = appendExt(out, e)
+			continue
+		}
+		if e.first < first {
+			out = appendExt(out, extent{e.first, first - 1, e.perm})
+		}
+		if !inserted {
+			out = appendExt(out, extent{first, last, perm})
+			inserted = true
+		}
+		if e.last > last {
+			out = appendExt(out, extent{max(e.first, last+1), e.last, e.perm})
+		}
+	}
+	if !inserted {
+		out = appendExt(out, extent{first, last, perm})
+	}
+	m.ext, m.extScratch = out, m.ext
+	m.setFramePerms(first, last, perm)
+}
+
 // Reset returns the address space to empty — every mapping dropped, every
 // page's contents discarded — while recycling the materialized page frames
-// (zeroed here, at harvest time) and the map buckets, so a pooled machine's
-// reload repopulates both without allocating. Semantically identical to
-// *m = *New(): an address mapped only before Reset faults exactly as it
-// would in a fresh Memory.
+// (zeroed here, at harvest time), the map buckets and the extent table's
+// backing array, so a pooled machine's reload repopulates all of them
+// without allocating. Semantically identical to *m = *New(): an address
+// mapped only before Reset faults exactly as it would in a fresh Memory.
 func (m *Memory) Reset() {
 	for _, pg := range m.pages {
 		pg.data = [PageSize]byte{}
@@ -181,7 +283,7 @@ func (m *Memory) Reset() {
 		}
 	}
 	clear(m.pages)
-	clear(m.perms)
+	m.ext = m.ext[:0]
 	for i := range m.cache {
 		m.cache[i].pn = 0
 		m.cache[i].pg = nil
@@ -191,31 +293,49 @@ func (m *Memory) Reset() {
 // Protect changes permissions on the pages covering [addr, addr+size).
 // Unmapped pages in the range are ignored.
 func (m *Memory) Protect(addr, size uint64, perm Perm) {
-	first := addr >> pageShift
-	last := (addr + size - 1) >> pageShift
-	for pn := first; pn <= last; pn++ {
-		if _, ok := m.perms[pn]; ok {
-			m.perms[pn] = perm
-			if pg, ok := m.pages[pn]; ok {
-				pg.perm = perm
-			}
+	first, last, ok := pageRange(addr, size)
+	if !ok {
+		return
+	}
+	out := m.extScratch[:0]
+	for _, e := range m.ext {
+		if e.last < first || e.first > last {
+			out = appendExt(out, e)
+			continue
+		}
+		if e.first < first {
+			out = appendExt(out, extent{e.first, first - 1, e.perm})
+		}
+		out = appendExt(out, extent{max(e.first, first), min(e.last, last), perm})
+		if e.last > last {
+			out = appendExt(out, extent{last + 1, e.last, e.perm})
 		}
 	}
+	m.ext, m.extScratch = out, m.ext
+	m.setFramePerms(first, last, perm)
 }
 
 // Mapped reports whether addr is on a mapped page.
 func (m *Memory) Mapped(addr uint64) bool {
-	_, ok := m.perms[addr>>pageShift]
-	return ok
+	return m.find(addr>>pageShift) >= 0
 }
 
 // PermAt returns the permissions at addr (0 if unmapped).
 func (m *Memory) PermAt(addr uint64) Perm {
-	return m.perms[addr>>pageShift]
+	if i := m.find(addr >> pageShift); i >= 0 {
+		return m.ext[i].perm
+	}
+	return 0
 }
 
 // PagesMapped returns the number of mapped pages (memory accounting).
-func (m *Memory) PagesMapped() int { return len(m.perms) }
+func (m *Memory) PagesMapped() int {
+	n := 0
+	for _, e := range m.ext {
+		n += int(e.last - e.first + 1)
+	}
+	return n
+}
 
 // CheckExec verifies addr lies on an executable page.
 func (m *Memory) CheckExec(addr uint64) error {
@@ -508,16 +628,34 @@ func (m *Memory) ForceWriteString(addr uint64, s string) error {
 
 // CString reads a NUL-terminated string at addr (bounded at max bytes).
 func (m *Memory) CString(addr uint64, max int) (string, error) {
-	var out []byte
-	for i := 0; i < max; i++ {
-		v, err := m.Load(addr+uint64(i), 1)
-		if err != nil {
-			return "", err
-		}
-		if v == 0 {
-			break
-		}
-		out = append(out, byte(v))
+	b, err := m.AppendCString(nil, addr, max)
+	if err != nil {
+		return "", err
 	}
-	return string(out), nil
+	return string(b), nil
+}
+
+// AppendCString appends the NUL-terminated string at addr (bounded at max
+// bytes, terminator excluded) to dst and returns the extended slice. The
+// scan is page-chunked, but it faults exactly where a byte-by-byte walk
+// would: at the first unreadable byte before the terminator.
+func (m *Memory) AppendCString(dst []byte, addr uint64, max int) ([]byte, error) {
+	for i := 0; i < max; {
+		a := addr + uint64(i)
+		pg := m.page(a)
+		if pg == nil {
+			return dst, &Fault{Addr: a, Kind: FaultUnmapped}
+		}
+		if pg.perm&R == 0 {
+			return dst, &Fault{Addr: a, Kind: FaultNoRead}
+		}
+		off := a & offMask
+		chunk := pg.data[off:min(PageSize, off+uint64(max-i))]
+		if j := bytes.IndexByte(chunk, 0); j >= 0 {
+			return append(dst, chunk[:j]...), nil
+		}
+		dst = append(dst, chunk...)
+		i += len(chunk)
+	}
+	return dst, nil
 }

@@ -100,6 +100,58 @@ func TestCString(t *testing.T) {
 	}
 }
 
+// TestAppendCStringMatchesByteWalk pins the page-chunked scan to a
+// byte-by-byte Load walk: same string, same fault address and kind, for
+// strings that cross into readable, write-only and unmapped pages and run
+// into the max bound.
+func TestAppendCStringMatchesByteWalk(t *testing.T) {
+	m := New()
+	m.Map(0x1000, 0x2000, R|W)
+	m.Map(0x3000, 0x1000, W) // not readable
+	m.Map(0x5000, 0x1000, R|W)
+	for a := uint64(0x1000); a < 0x3000; a++ {
+		m.Store(a, 1, 'a'+a%26)
+	}
+	m.Fill(0x5000, 'z', 0x1000)
+	m.Store(0x5010, 1, 0)
+	walk := func(addr uint64, max int) (string, error) {
+		var b []byte
+		for i := 0; i < max; i++ {
+			v, err := m.Load(addr+uint64(i), 1)
+			if err != nil {
+				return "", err
+			}
+			if v == 0 {
+				break
+			}
+			b = append(b, byte(v))
+		}
+		return string(b), nil
+	}
+	for _, c := range []struct {
+		addr uint64
+		max  int
+	}{
+		{0x1ff0, 64},      // crosses a page, stops at max
+		{0x2ff0, 64},      // runs into the non-readable page
+		{0x4ff8, 64},      // starts unmapped
+		{0x2ffc, 4},       // max ends exactly at the page boundary
+		{0x5000, 64},      // NUL on the page
+		{0x5ff0, 64},      // runs into an unmapped page
+		{0x1000, 1 << 20}, // runs into the non-readable page after 8 KiB
+	} {
+		want, wantErr := walk(c.addr, c.max)
+		got, err := m.AppendCString([]byte("pre:"), c.addr, c.max)
+		if (err == nil) != (wantErr == nil) || (err != nil && *err.(*Fault) != *wantErr.(*Fault)) {
+			t.Errorf("AppendCString(%#x, %d) error = %v, want %v", c.addr, c.max, err, wantErr)
+			continue
+		}
+		if err == nil && string(got) != "pre:"+want {
+			t.Errorf("AppendCString(%#x, %d) = %q, want %q", c.addr, c.max, got, "pre:"+want)
+		}
+	}
+}
+
 func TestBytesRoundTrip(t *testing.T) {
 	m := New()
 	m.Map(0x1000, 0x4000, R|W)

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/ir"
@@ -156,7 +155,7 @@ func (m *Machine) execIntrinsic(f *frame, pin *PIns, dst int32, flags ir.Prot) {
 		if !ok {
 			return
 		}
-		m.out.WriteString(s)
+		m.out.Write(s)
 		m.cycles += int64(len(s)) / 8 * cost.IntrByte
 		setDst(uint64(len(s)), invalidMeta)
 		done()
@@ -189,7 +188,7 @@ func (m *Machine) execIntrinsic(f *frame, pin *PIns, dst int32, flags ir.Prot) {
 		}
 		if max >= 0 && int64(len(s)) >= max {
 			if max == 0 {
-				s = ""
+				s = s[:0]
 			} else {
 				s = s[:max-1]
 			}
@@ -199,7 +198,7 @@ func (m *Machine) execIntrinsic(f *frame, pin *PIns, dst int32, flags ir.Prot) {
 			return
 		}
 		// sprintf writes unbounded into dst: a classic overflow vector.
-		if err := m.mem.WriteBytes(arg(0), append([]byte(s), 0)); err != nil {
+		if err := m.mem.WriteBytes(arg(0), append(s, 0)); err != nil {
 			m.memFault(err)
 			return
 		}
@@ -596,14 +595,18 @@ func (m *Machine) cstr(addr uint64) (string, bool) {
 	return s, true
 }
 
-// format implements the printf family for %d %s %c %x %p %%.
-func (m *Machine) format(f *frame, pin *PIns, fmtIdx int) (string, bool) {
+// format implements the printf family for %d %s %c %x %p %%. The result
+// is the machine's fmtOut scratch buffer, valid until the next call, so a
+// warm machine formats without allocating.
+func (m *Machine) format(f *frame, pin *PIns, fmtIdx int) ([]byte, bool) {
 	fv, _ := m.evalP(f, &pin.Args[fmtIdx])
-	fs, ok := m.cstr(fv)
-	if !ok {
-		return "", false
+	fs, err := m.mem.AppendCString(m.fmtSpec[:0], fv, 1<<20)
+	m.fmtSpec = fs
+	if err != nil {
+		m.memFault(err)
+		return nil, false
 	}
-	var out []byte
+	out := m.fmtOut[:0]
 	argi := fmtIdx + 1
 	nextArg := func() uint64 {
 		if argi < len(pin.Args) {
@@ -629,28 +632,28 @@ func (m *Machine) format(f *frame, pin *PIns, fmtIdx int) (string, bool) {
 		}
 		switch fs[i] {
 		case 'd', 'i':
-			out = append(out, []byte(strconv.FormatInt(int64(nextArg()), 10))...)
+			out = strconv.AppendInt(out, int64(nextArg()), 10)
 		case 'u':
-			out = append(out, []byte(strconv.FormatUint(nextArg(), 10))...)
+			out = strconv.AppendUint(out, nextArg(), 10)
 		case 'x':
-			out = append(out, []byte(strconv.FormatUint(nextArg(), 16))...)
+			out = strconv.AppendUint(out, nextArg(), 16)
 		case 'p':
-			out = append(out, []byte(fmt.Sprintf("%#x", nextArg()))...)
+			out = strconv.AppendUint(append(out, "0x"...), nextArg(), 16)
 		case 'c':
 			out = append(out, byte(nextArg()))
 		case 's':
-			s, ok := m.cstr(nextArg())
-			if !ok {
-				return "", false
+			if out, err = m.mem.AppendCString(out, nextArg(), 1<<20); err != nil {
+				m.memFault(err)
+				return nil, false
 			}
-			out = append(out, []byte(s)...)
 		case '%':
 			out = append(out, '%')
 		default:
 			out = append(out, '%', fs[i])
 		}
 	}
-	return string(out), true
+	m.fmtOut = out
+	return out, true
 }
 
 // sscanf supports %d and %s (unbounded %s: another overflow vector).

@@ -287,6 +287,12 @@ type Machine struct {
 	out          bytes.Buffer
 	rng          uint64
 
+	// Scratch buffers of the printf family (format): the format string
+	// and the formatted output. Reused across calls, so a warm machine
+	// formats without allocating.
+	fmtSpec []byte
+	fmtOut  []byte
+
 	// Layout. Function entries, return sites, setjmp sites, globals and
 	// strings all have addresses of the form base + slide + f(ordinal), with
 	// the ordinal tables shared in Code, so the per-machine state is just the

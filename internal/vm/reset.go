@@ -39,6 +39,9 @@ var resetRules = map[string]string{
 	"out":          "bytes.Buffer Reset (capacity retained)",
 	"rng":          "reseeded from cfg.Seed exactly as NewShared",
 
+	"fmtSpec": "kept: scratch overwritten before every read",
+	"fmtOut":  "kept: scratch overwritten before every read",
+
 	"slideCode":   "zeroed; load() redraws under ASLR/PIE",
 	"slideData":   "zeroed; load() redraws under ASLR/PIE",
 	"slideStack":  "zeroed; load() redraws under ASLR",

@@ -10,10 +10,12 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ripe"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -304,5 +306,73 @@ func BenchmarkFreshRequest(b *testing.B) {
 			b.Fatal(err)
 		}
 		m.Run("main")
+	}
+}
+
+// ripeVictim compiles the first RIPE attack's victim program under the
+// named defense, as the RIPE driver does.
+func ripeVictim(tb testing.TB, defense string) *core.Program {
+	tb.Helper()
+	d, err := ripe.DefenseByName(defense)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := d.Cfg
+	cfg.Seed, cfg.NoPromote = 42, true
+	prog, err := core.Compile(ripe.Source(ripe.All()[0]), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog
+}
+
+// TestNewMachineAllocations gates machine construction exactly: building a
+// RIPE victim's machine must stay under fixed object and byte caps per
+// NewMachine. The address space is an extent table, so mapping the 2 MiB
+// code segment and the two 4 MiB stacks costs a handful of extents, not an
+// entry per page; a regression to per-page bookkeeping blows both caps.
+func TestNewMachineAllocations(t *testing.T) {
+	const (
+		maxObjs  = 48
+		maxBytes = 64 << 10
+		runs     = 20
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, defense := range []string{"none", "cps", "cpi", "pac"} {
+		prog := ripeVictim(t, defense)
+		build := func() {
+			if _, err := prog.NewMachine(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		build() // warm any lazily built shared state
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		objs := float64(after.Mallocs-before.Mallocs) / runs
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: NewMachine allocates %.0f objects, %.1f KiB", defense, objs, bytes/1024)
+		if objs > maxObjs || bytes > maxBytes {
+			t.Errorf("%s: NewMachine allocates %.0f objects / %.0f bytes; caps are %d / %d", defense, objs, bytes, maxObjs, maxBytes)
+		}
+	}
+}
+
+// BenchmarkNewMachine is the ns/op and allocs/op record of building one
+// RIPE victim's machine per defense (run with -benchmem).
+func BenchmarkNewMachine(b *testing.B) {
+	for _, defense := range []string{"none", "cps", "cpi", "pac"} {
+		prog := ripeVictim(b, defense)
+		b.Run(defense, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := prog.NewMachine(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

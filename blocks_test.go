@@ -6,23 +6,43 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/vm"
+	"repro/internal/workloads"
 )
 
 // Block-compilation equivalence property tests: the predecode block
 // compiler (internal/vm/blocks.go) turns straight-line traces into single
-// compiled segments with their own inlined executors, and — exactly like
-// superinstruction fusion — it must be invisible to everything except
-// wall-clock time. These tests run every bundled micro and webstack
-// workload under the baseline/CPS/CPI configurations twice, once on the
-// default predecoding and once with NoBlockCompile, and require identical
-// Output, Cycles, Steps, exit codes and trap details. Dispatches is
-// deliberately NOT compared: absorbing dispatch round trips is the whole
-// point of the stage, and Result.BlockFrac reports the difference.
+// compiled segments with their own inlined executors, and it must be
+// invisible to everything except wall-clock time. These tests run every
+// bundled micro and webstack workload under the baseline/CPS/CPI
+// configurations twice, once on the default predecoding and once with
+// NoBlockCompile, and require identical Output, Cycles, Steps, exit codes
+// and trap details. Dispatches is deliberately NOT compared: absorbing
+// dispatch round trips is the whole point of the stage, and
+// Result.BlockFrac reports the difference.
 //
 // A truncated-budget sweep additionally forces the step budget to expire
 // at many different points, so a budget trap landing in the middle of a
 // segment — including between the constituents of a merged pair op — must
 // report the same step count and PC as the plain dispatch loop.
+
+// blockConfigs are the protection configurations the equivalence must hold
+// under (segments inline flagged loads/stores under CPS/CPI).
+func blockConfigs() []core.Config {
+	return []core.Config{
+		{DEP: true},
+		{Protect: core.CPS, DEP: true},
+		{Protect: core.CPI, DEP: true},
+	}
+}
+
+// blockWorkloads is the bundled workload set the property runs over.
+func blockWorkloads() []workloads.Workload {
+	set := append([]workloads.Workload{}, workloads.Micro()...)
+	for _, p := range workloads.WebStack() {
+		set = append(set, workloads.Workload{Name: p.Name, Src: p.Src})
+	}
+	return set
+}
 
 // runBlocksBoth executes one compiled program on the block-compiled and
 // block-free streams with the given step budget (0 = default).
@@ -81,8 +101,8 @@ func compareBlockResults(t *testing.T, name string, blocks, noblocks *vm.Result)
 // TestBlockCompileEquivalence runs every bundled workload to completion
 // under all three protection configurations, block-compiled vs not.
 func TestBlockCompileEquivalence(t *testing.T) {
-	for _, w := range fusionWorkloads() {
-		for _, cfg := range fusionConfigs() {
+	for _, w := range blockWorkloads() {
+		for _, cfg := range blockConfigs() {
 			prog, err := core.Compile(w.Src, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", w.Name, err)
@@ -113,13 +133,13 @@ func TestBlockCompileEquivalenceTruncated(t *testing.T) {
 	// branch-dense (trace-extending conditional branches and merged
 	// compare+branch pairs). Between them every segment executor runs.
 	for _, wn := range []string{"micro.fib", "micro.sieve"} {
-		var w = fusionWorkloads()[0]
-		for _, cand := range fusionWorkloads() {
+		var w = blockWorkloads()[0]
+		for _, cand := range blockWorkloads() {
 			if cand.Name == wn {
 				w = cand
 			}
 		}
-		for _, cfg := range fusionConfigs() {
+		for _, cfg := range blockConfigs() {
 			prog, err := core.Compile(w.Src, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -144,7 +164,7 @@ func TestBlockCompileEquivalenceTruncated(t *testing.T) {
 // cache behavior both were tuned against, so a size change must be a
 // deliberate decision, not a side effect of adding a field.
 func TestPInsSize(t *testing.T) {
-	if got := unsafe.Sizeof(vm.PIns{}); got != 240 {
-		t.Errorf("unsafe.Sizeof(vm.PIns) = %d, want 240", got)
+	if got := unsafe.Sizeof(vm.PIns{}); got != 168 {
+		t.Errorf("unsafe.Sizeof(vm.PIns) = %d, want 168", got)
 	}
 }

@@ -50,15 +50,10 @@ type Row struct {
 	StepsPerSec float64 `json:"steps_per_sec"`
 	NsPerStep   float64 `json:"ns_per_step"`
 
-	// FusedFrac is the fraction of dynamic dispatches the superinstruction
-	// fusion pass absorbed (constituents executed without a dispatch-loop
-	// round trip) — the visibility metric of the cost-driven selector.
-	FusedFrac float64 `json:"fused_dispatch_frac"`
-
 	// BlockFrac is the fraction of dynamic dispatches block compilation
 	// absorbed: constituents that ran inside a compiled segment beyond each
-	// activation's single dispatch. FusedFrac + BlockFrac + Dispatches/Steps
-	// partition the executed constituents.
+	// activation's single dispatch. BlockFrac + Dispatches/Steps partition
+	// the executed constituents.
 	BlockFrac float64 `json:"block_dispatch_frac"`
 
 	// BaselineStepsPerSec and SpeedupX record the previous run's rate and
@@ -143,7 +138,7 @@ func measure(name, src, cfgName string, cfg core.Config, reps int) (Row, error) 
 		return Row{}, fmt.Errorf("%s/%s: compile: %w", name, cfgName, err)
 	}
 	var steps, cycles int64
-	var fused, blockf, best float64
+	var blockf, best float64
 	for i := 0; i < reps; i++ {
 		m, err := prog.NewMachine()
 		if err != nil {
@@ -155,7 +150,7 @@ func measure(name, src, cfgName string, cfg core.Config, reps int) (Row, error) 
 		if r.Trap != vm.TrapExit {
 			return Row{}, fmt.Errorf("%s/%s: trap %v (%v)", name, cfgName, r.Trap, r.Err)
 		}
-		steps, cycles, fused, blockf = r.Steps, r.Cycles, r.FusedFrac(), r.BlockFrac()
+		steps, cycles, blockf = r.Steps, r.Cycles, r.BlockFrac()
 		if best == 0 || wall < best {
 			best = wall
 		}
@@ -163,7 +158,7 @@ func measure(name, src, cfgName string, cfg core.Config, reps int) (Row, error) 
 	row := Row{
 		Workload: name, Config: cfgName,
 		Steps: steps, Cycles: cycles, WallSeconds: best,
-		FusedFrac: fused, BlockFrac: blockf,
+		BlockFrac: blockf,
 	}
 	if best > 0 {
 		row.StepsPerSec = float64(steps) / best
@@ -271,9 +266,9 @@ func main() {
 			}
 			rep.Rows = append(rep.Rows, row)
 			rows = append(rows, row)
-			fmt.Printf("%-14s %-8s %12.0f steps/sec %8.2f ns/step  %4.1f%% fused %5.1f%% block%s%s\n",
+			fmt.Printf("%-14s %-8s %12.0f steps/sec %8.2f ns/step  %5.1f%% block%s%s\n",
 				row.Workload, row.Config, row.StepsPerSec, row.NsPerStep,
-				100*row.FusedFrac, 100*row.BlockFrac, ovh, delta)
+				100*row.BlockFrac, ovh, delta)
 		}
 		return rows
 	}

@@ -38,13 +38,20 @@ import (
 // pool free. Micro rows are untouched. TestGoldenGCCOverheadBand pins the
 // headline consequence: 403.gcc cpi overhead stays within the paper's
 // single-digit band, asserted at ≤15%.
+//
+// Dispatch counts are pinned too (goldenDispatches), and every row must
+// run each executed instruction inside a block-compiled segment
+// (BlockSteps == Steps). Neither is a paper figure; they pin the split of
+// the work between the interpreter's execution tiers, so a change that
+// moves work from segments back to the dispatch loop shows up exactly.
 
 type goldenRow struct {
-	cfgName string
-	cfg     core.Config
-	cycles  int64
-	steps   int64
-	exit    int64
+	cfgName    string
+	cfg        core.Config
+	cycles     int64
+	steps      int64
+	dispatches int64
+	exit       int64
 }
 
 // goldenCycles is the single source of golden per-config cycle counts for
@@ -80,19 +87,31 @@ var goldenSteps = map[string][2]int64{
 	"micro.sieve": {2495247, 4422929},
 }
 
+// goldenDispatches pins per-workload dispatch round trips (dispatch-loop
+// iterations plus segment trampoline hops): promoted and unpromoted, like
+// goldenSteps. Dispatch counts are protection-independent too.
+var goldenDispatches = map[string][2]int64{
+	"403.gcc":     {428428, 457179},
+	"static-page": {131337, 143340},
+	"micro.fib":   {273036, 341296},
+	"micro.calls": {804001, 1076001},
+	"micro.sieve": {346521, 346561},
+}
+
 func goldenConfigs(name string, exit int64) []goldenRow {
 	cycles := goldenCycles[name]
 	uCycles := goldenCyclesNoPromote[name]
 	steps := goldenSteps[name]
+	disp := goldenDispatches[name]
 	rows := []goldenRow{
-		{"vanilla", core.Config{DEP: true}, cycles[0], steps[0], exit},
-		{"cps", core.Config{Protect: core.CPS, DEP: true}, cycles[1], steps[0], exit},
-		{"cpi", core.Config{Protect: core.CPI, DEP: true}, cycles[2], steps[0], exit},
+		{"vanilla", core.Config{DEP: true}, cycles[0], steps[0], disp[0], exit},
+		{"cps", core.Config{Protect: core.CPS, DEP: true}, cycles[1], steps[0], disp[0], exit},
+		{"cpi", core.Config{Protect: core.CPI, DEP: true}, cycles[2], steps[0], disp[0], exit},
 	}
 	for i, cfgName := range []string{"vanilla", "cps", "cpi"} {
 		cfg := rows[i].cfg
 		cfg.NoPromote = true
-		rows = append(rows, goldenRow{cfgName + "-nopromote", cfg, uCycles[i], steps[1], exit})
+		rows = append(rows, goldenRow{cfgName + "-nopromote", cfg, uCycles[i], steps[1], disp[1], exit})
 	}
 	return rows
 }
@@ -163,6 +182,13 @@ func TestGoldenCycleTables(t *testing.T) {
 					if r.Cycles != row.cycles || r.Steps != row.steps || r.ExitCode != row.exit {
 						t.Errorf("run %d: cycles=%d steps=%d exit=%d, golden cycles=%d steps=%d exit=%d",
 							i, r.Cycles, r.Steps, r.ExitCode, row.cycles, row.steps, row.exit)
+					}
+					if r.Dispatches != row.dispatches {
+						t.Errorf("run %d: dispatches=%d, golden %d", i, r.Dispatches, row.dispatches)
+					}
+					if r.BlockSteps != r.Steps {
+						t.Errorf("run %d: %d of %d steps ran inside block-compiled segments, want all",
+							i, r.BlockSteps, r.Steps)
 					}
 				}
 			})

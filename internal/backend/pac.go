@@ -13,8 +13,9 @@ import "repro/internal/ir"
 //
 // The instrumented set is exactly CPS's (code and universal pointers,
 // ScopeCode), and the same ir.ProtCPS/ProtUniversal flag bits mark it, so
-// predecode-time handler selection and fusion behave identically to cps;
-// only the runtime enforcement hooks differ (vm.Config.Backend = "pac").
+// predecode-time handler selection and block compilation behave
+// identically to cps; only the runtime enforcement hooks differ
+// (vm.Config.Backend = "pac").
 type pacBackend struct{}
 
 func (pacBackend) Name() string    { return "pac" }

@@ -113,8 +113,8 @@ type Config struct {
 	// traps (vm.TrapAuditSensitive) if a value with code provenance is
 	// ever loaded from or stored to memory through an uninstrumented
 	// operation. Audit machines route every load/store through the general
-	// handlers and disable fusion, so cycle counts are not comparable to
-	// normal runs.
+	// handlers and disable block compilation, so cycle counts are not
+	// comparable to normal runs.
 	AuditSensitive bool
 
 	// System-level defenses, composable with any Protect level (the RIPE
@@ -296,14 +296,12 @@ func Compile(src string, cfg Config) (*Program, error) {
 // on first use. It is safe for concurrent use; all machines of this program
 // share one result.
 func (p *Program) Predecoded() *vm.Code {
-	opt := vm.PredecodeOptions{NoBlockCompile: p.Cfg.NoBlockCompile}
-	if p.Cfg.AuditSensitive {
-		// The audit checks live in the general load/store paths only:
-		// force them (and disable fusion and block compilation, whose
-		// executors inline memory accesses) so no access can bypass the
-		// oracle.
-		opt.AuditHooks = true
-		opt.NoFuse = true
+	// The audit checks live in the general load/store paths only: force
+	// them (AuditHooks also disables block compilation, whose segments
+	// inline memory accesses) so no access can bypass the oracle.
+	opt := vm.PredecodeOptions{
+		NoBlockCompile: p.Cfg.NoBlockCompile,
+		AuditHooks:     p.Cfg.AuditSensitive,
 	}
 	if p.pre == nil {
 		// Program built by hand rather than Compile: predecode unshared.
@@ -315,8 +313,8 @@ func (p *Program) Predecoded() *vm.Code {
 
 // VMConfig derives the runtime machine configuration from the compile
 // configuration. Exported so tests can build machines around alternative
-// predecodings (e.g. vm.PredecodeWith with fusion disabled) of the same
-// compiled program.
+// predecodings (e.g. vm.PredecodeWith with block compilation disabled) of
+// the same compiled program.
 func (p *Program) VMConfig() vm.Config {
 	c := vm.Config{
 		DEP:            p.Cfg.DEP,

@@ -23,8 +23,8 @@ import (
 //     means the intrinsic argument analysis missed a sensitive region.
 //
 // Audit machines must route every access through loadInto/storeFrom
-// (PredecodeOptions.AuditHooks + NoFuse); core.Program.Predecoded does this
-// when the config asks for auditing.
+// (PredecodeOptions.AuditHooks); core.Program.Predecoded does this when the
+// config asks for auditing.
 //
 // Stale-entry hygiene: safe-store entries under recycled stack frames (and
 // stack regions discarded by longjmp) are deleted eagerly in audit mode —

@@ -68,7 +68,7 @@ func (m *Machine) runHook(fi int) {
 // execCallPlan dispatches a direct call that carries a register-convention
 // argument plan: the common case on promoted streams, kept free of the
 // intrinsic test and the no-hooks hook lookup.
-func (m *Machine) execCallPlan(f *frame, in *PIns, dst int32) {
+func (m *Machine) execCallPlan(f *frame, in *PIns) {
 	if m.hooks != nil {
 		m.runHook(int(in.Callee))
 		if m.trap != nil {
@@ -77,17 +77,14 @@ func (m *Machine) execCallPlan(f *frame, in *PIns, dst int32) {
 	}
 	m.cycles += m.cfg.Cost.Call
 	m.pushFrameReg(int(in.Callee), f, f.code.Plans[in.PlanIdx],
-		m.retSiteAddr(in.SiteOrd), f.pc+1, int(dst))
+		m.retSiteAddr(in.SiteOrd), f.pc+1, int(in.Dst))
 }
 
-// execCallWith dispatches a direct call or intrinsic. dst is the caller
-// register for the result and flags the call's protection flags: in.Dst and
-// in.Flags normally, the mirror fields when the call is the trailing
-// constituent of a fused sequence (whose head owns Dst/Flags).
-func (m *Machine) execCallWith(f *frame, in *PIns, dst int32, flags ir.Prot) {
+// execCallWith dispatches a direct call or intrinsic.
+func (m *Machine) execCallWith(f *frame, in *PIns) {
 	callee := int(in.Callee)
 	if callee < 0 {
-		m.execIntrinsic(f, in, dst, flags)
+		m.execIntrinsic(f, in)
 		return
 	}
 	m.runHook(callee)
@@ -98,10 +95,10 @@ func (m *Machine) execCallWith(f *frame, in *PIns, dst int32, flags ir.Prot) {
 	if in.PlanIdx >= 0 {
 		// Register calling convention: the predecoded plan moves the
 		// arguments straight into the callee's register file.
-		m.pushFrameReg(callee, f, f.code.Plans[in.PlanIdx], m.retSiteAddr(in.SiteOrd), f.pc+1, int(dst))
+		m.pushFrameReg(callee, f, f.code.Plans[in.PlanIdx], m.retSiteAddr(in.SiteOrd), f.pc+1, int(in.Dst))
 		return
 	}
-	m.pushFrame(callee, f, in.Args, m.retSiteAddr(in.SiteOrd), f.pc+1, int(dst))
+	m.pushFrame(callee, f, in.Args, m.retSiteAddr(in.SiteOrd), f.pc+1, int(in.Dst))
 }
 
 func (m *Machine) execICall(f *frame, in *PIns) {

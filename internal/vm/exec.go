@@ -24,11 +24,10 @@ func (m *Machine) Run(entry string) *Result {
 	m.pushFrame(fi, nil, nil, 0, -1, -1)
 
 	// The dispatch loop: one step of bookkeeping, then one indirect call
-	// through the handler resolved at predecode time (dispatch.go). Fused
-	// superinstructions count their second constituent themselves
-	// (fusedTick), and block-compiled segments count theirs in the segment
-	// runner (blocks.go), so m.steps is always the constituent step count,
-	// while disp counts loop round trips. Segment trampoline hops are
+	// through the handler resolved at predecode time (dispatch.go).
+	// Block-compiled segments count their constituents after the first in
+	// the segment runner (blocks.go), so m.steps is always the constituent
+	// step count, while disp counts loop round trips. Segment trampoline hops are
 	// dispatches the loop never sees (m.extraDisp); the total is what
 	// Result.Dispatches reports, so a segment activation costs exactly one
 	// dispatch however it was entered. The budget is hoisted to a local —

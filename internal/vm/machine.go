@@ -274,8 +274,9 @@ type Machine struct {
 	cur    *frame
 	cycles int64
 	steps  int64
-	// dispatches counts dispatch-loop round trips; steps-dispatches is the
-	// number of constituent executions superinstruction fusion absorbed.
+	// dispatches counts dispatch round trips (Result.Dispatches);
+	// steps-dispatches is the number of constituent executions block
+	// compilation absorbed.
 	dispatches int64
 	// Block-compilation accounting (blocks.go): constituents executed
 	// inside compiled segments, segment activations (each activation pays

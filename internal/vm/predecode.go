@@ -23,11 +23,9 @@ import (
 //     once from its opcode AND its operand shapes (see dispatch.go), so the
 //     per-step loop performs one indirect call instead of walking the
 //     opcode switch plus a per-operand kind-switch;
-//   - superinstruction fusion: common adjacent pairs (compare+condbr,
-//     load+bin, GEP+load, GEP+store, and the mov pairs of register-promoted
-//     streams) are rewritten into single fused handlers that execute both
-//     constituents in one dispatch (see fusion.go); fused ops charge the
-//     constituent costs and count the constituent steps, so they are
+//   - block compilation: every block head and call return site anchors a
+//     straight-line segment that runs as one dispatch (see blocks.go);
+//     segments charge every constituent's own cost and step, so they are
 //     invisible to the cycle/step tables;
 //   - call-site numbering: every static call site (return sites, setjmp
 //     sites) gets its ordinal, so the machine resolves site addresses with
@@ -68,8 +66,10 @@ type Code struct {
 	GlobalOff    []uint64
 	GlobalsBytes int64
 
-	// FusedPairs counts the superinstruction heads the fusion pass
-	// rewrote (0 when predecoded with NoFuse).
+	// FusedPairs is always 0. It counted the heads of a superinstruction-
+	// fusion pass that block compilation made redundant and that has been
+	// deleted; it stays only because the benchmark's staged-compile check
+	// (perfbench/compile.go) still compares it between two predecodings.
 	FusedPairs int
 
 	// BlockSegs counts the block-compiled segments installed (0 when
@@ -109,50 +109,34 @@ type FuncCode struct {
 // ir.Instr; In points back to the original for the cold paths that need
 // unresolved detail (intrinsic kinds, format strings).
 //
-// A fused PIns (see fusion.go) is the head of a rewritten superinstruction
-// sequence and carries the trailing constituents in mirror fields its own
-// opcode does not use: C/D/ALU2/Size2/Flags2/Dst2 (and Dst3 for the
-// three-result sequences) are exclusively for fusion, while Targ0/Targ1 and
-// the call fields (SiteOrd, Args, In, Flags) hold a trailing branch's or
-// call's values when the head opcode has no use for them. The slots after
-// a fused head keep their original predecoded form: only fall-through from
-// the head skips them, so branch targets, setjmp resume sites and call
-// return sites that land there still execute the unfused instructions.
 // Field order is cache-conscious: the dispatch loop reads run first, and
 // the hot handlers then read A/B and the packed scalar block, so the first
-// two cache lines of a PIns cover an unfused instruction's entire hot
-// state; the fusion mirror fields and the cold call fields sit at the tail.
+// two cache lines of a PIns cover an instruction's entire hot state; the
+// cold call fields sit at the tail.
 type PIns struct {
 	// run is the handler resolved at predecode time; the dispatch loop
 	// calls it directly. It is chosen from Op plus operand shapes, and
-	// replaced by a fused handler when the peephole pass rewrites the pair
-	// starting here.
+	// replaced by hSeg at slots that anchor a block-compiled segment.
 	run handler
 
 	A, B PVal
 
 	Dst      int32 // destination register; -1 when none
-	Dst2     int32 // fused trailing constituent's destination register
 	Targ0    int32 // resolved branch target (OpBr, OpCondBr taken)
 	Targ1    int32 // resolved branch target (OpCondBr fallthrough)
 	Scale    int64 // OpGEP index scale
 	Off      int64 // OpGEP constant offset
 	Op       ir.Op
 	Size     uint8 // load/store width
-	Size2    uint8 // fused trailing load/store width
 	ALU      ir.ALU
-	ALU2     ir.ALU // fused trailing binary operator
-	CastChar bool   // OpCast truncates to a byte
+	CastChar bool // OpCast truncates to a byte
 	Flags    ir.Prot
-	Flags2   ir.Prot // fused trailing load/store protection flags
 
-	Dst3    int32 // fused third constituent's destination register
 	Blk, IP int32 // original (block, instr) position, for diagnostics
 	SiteOrd int32 // return-site ordinal (calls) / jmp-site ordinal (builtins); -1 otherwise
-	Callee  int32 // OpCall callee function index (< 0: intrinsic); mirrored into fused call heads
+	Callee  int32 // OpCall callee function index (< 0: intrinsic)
 	PlanIdx int32 // register-convention plan index into FuncCode.Plans; -1 means the generic arg loop runs
 
-	C, D PVal   // fused trailing constituent's operands
 	Args []PVal // predecoded call/intrinsic argument list
 	In   *ir.Instr
 }
@@ -242,12 +226,6 @@ func predecodeVal(p *ir.Program, fn *ir.Func, v ir.Value) PVal {
 
 // PredecodeOptions tunes the lowering.
 type PredecodeOptions struct {
-	// NoFuse disables the superinstruction fusion pass. Handlers are
-	// still resolved per instruction; the fusion equivalence tests use
-	// this to check that fused and unfused streams are observationally
-	// identical (Output, Cycles, Steps, traps).
-	NoFuse bool
-
 	// NoRegConv disables the register calling convention: no call site gets
 	// an argument plan, so every call runs the generic pushFrame argument
 	// loop. The calling-convention equivalence tests use this to check that
@@ -256,24 +234,24 @@ type PredecodeOptions struct {
 
 	// NoBlockCompile disables the block-compilation stage (blocks.go):
 	// no basic block or trace is compiled into a segment, so every
-	// instruction (fused or not) dispatches through the loop. The block
-	// differential tests use this to check that block-compiled execution
-	// is observationally identical (Output, Cycles, Steps, traps).
+	// instruction dispatches through the loop. The block differential
+	// tests use this to check that block-compiled execution is
+	// observationally identical (Output, Cycles, Steps, traps).
 	NoBlockCompile bool
 
 	// AuditHooks routes every load/store through the general handlers
 	// (loadInto/storeFrom), where the Config.AuditSensitive provenance
 	// checks live, instead of the inlined plain fast paths that skip them.
-	// Callers must pair it with NoFuse: fusion executors also inline
-	// memory accesses. It also disables block compilation — segment
-	// bodies inline the same plain fast paths.
+	// It also disables block compilation — segment bodies inline the same
+	// plain fast paths.
 	AuditHooks bool
 }
 
 // Predecode lowers a program into its execution-ready form with the default
-// options (fusion enabled). Site ordinals are assigned in program order
-// (function, block, instruction) — the same order Machine.load registers
-// site addresses in, which is what makes the ordinal→address tables line up.
+// options (block compilation and the register calling convention on). Site
+// ordinals are assigned in program order (function, block, instruction) —
+// the same order Machine.load registers site addresses in, which is what
+// makes the ordinal→address tables line up.
 func Predecode(p *ir.Program) *Code {
 	return PredecodeWith(p, PredecodeOptions{})
 }
@@ -352,9 +330,6 @@ func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
 				pi.run = chooseHandler(&pi, opt.AuditHooks)
 				fc.Ins = append(fc.Ins, pi)
 			}
-		}
-		if !opt.NoFuse {
-			c.FusedPairs += fuse(fc)
 		}
 		fc.NeedsRegClear = !regsDefBeforeUse(fn)
 	}

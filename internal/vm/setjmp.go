@@ -15,11 +15,10 @@ import (
 // jmp_buf layout: [0]=resume site address, [1]=frame depth, [2]=regular sp,
 // [3]=safe sp (words 4..7 reserved).
 
-// setjmp records a resume point. dst and flags are the setjmp call's
-// result register and protection flags, passed explicitly because when the
-// call is the trailing constituent of a fused sequence they live in the
-// head's mirror fields, not in the call instruction's own Dst/Flags.
-func (m *Machine) setjmp(f *frame, dst int32, flags ir.Prot, siteAddr, buf uint64) {
+// setjmp records the resume point of the setjmp call in (its return site)
+// in the jmp_buf at buf.
+func (m *Machine) setjmp(f *frame, in *PIns, buf uint64) {
+	siteAddr := m.jmpSiteAddr(in.SiteOrd)
 	if siteAddr == 0 {
 		m.trapf(TrapAbort, 0, ViaNone, "setjmp site not registered")
 		return
@@ -36,15 +35,15 @@ func (m *Machine) setjmp(f *frame, dst int32, flags ir.Prot, siteAddr, buf uint6
 		}
 		m.cycles += m.cfg.Cost.Store
 	}
-	protected := (m.cfg.CPI && flags&ir.ProtCPIStore != 0) ||
-		(m.cfg.CPS && flags&ir.ProtCPS != 0) ||
-		(m.cfg.Backend != "" && flags&ir.ProtCPS != 0)
+	protected := (m.cfg.CPI && in.Flags&ir.ProtCPIStore != 0) ||
+		(m.cfg.CPS && in.Flags&ir.ProtCPS != 0) ||
+		(m.cfg.Backend != "" && in.Flags&ir.ProtCPS != 0)
 	if protected {
 		m.enf.setjmpSave(m, buf, siteAddr)
 	}
-	if dst >= 0 {
-		f.regs[dst] = 0 // direct setjmp returns 0
-		f.meta[dst] = invalidMeta
+	if in.Dst >= 0 {
+		f.regs[in.Dst] = 0 // direct setjmp returns 0
+		f.meta[in.Dst] = invalidMeta
 	}
 	f.pc++
 }

@@ -177,56 +177,60 @@ func TestSharedCodeLayoutTables(t *testing.T) {
 }
 
 // TestPooledConcurrentMatchesUnpooled extends the shared-program race
-// regression to the pooled path: N goroutines each drive M sequential
-// requests through one pool (one shared Code) under cps and cpi with the
-// temporal sweep on, and every request's result must be bit-identical to
-// an unpooled fresh-machine run. Run with -race for the full guarantee.
+// regression to the pooled path: for every serving page under every
+// serving protection, N goroutines each drive M sequential requests
+// through one pool (one shared Code), and every request's result must be
+// bit-identical to an unpooled fresh-machine run that exits cleanly. It is
+// the serving correctness gate: a trap or a pool divergence in any served
+// request fails it. Run with -race for the full guarantee.
 func TestPooledConcurrentMatchesUnpooled(t *testing.T) {
-	w := workloads.WebServe()[1]              // serve-wsgi: heap + indirect calls
-	for _, pc := range servingConfigs()[1:] { // cps, cpi
-		prog, err := core.Compile(w.Src, pc.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", pc.name, err)
-		}
-		ref, err := prog.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.Trap != vm.TrapExit {
-			t.Fatalf("%s: reference trapped: %v", pc.name, ref.Err)
-		}
-
-		pool := prog.NewPool()
-		const N, M = 8, 6
-		errs := make([]error, N)
-		var wg sync.WaitGroup
-		for g := 0; g < N; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for r := 0; r < M; r++ {
-					res, err := pool.Serve("main")
-					if err != nil {
-						errs[g] = fmt.Errorf("req %d: %w", r, err)
-						return
-					}
-					if res.Cycles != ref.Cycles || res.Steps != ref.Steps ||
-						res.Output != ref.Output || res.Trap != ref.Trap ||
-						res.Mem != ref.Mem {
-						errs[g] = fmt.Errorf("req %d diverged from unpooled run", r)
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		for g, err := range errs {
+	for _, w := range workloads.WebServe() {
+		for _, pc := range servingConfigs() {
+			name := w.Name + "/" + pc.name
+			prog, err := core.Compile(w.Src, pc.cfg)
 			if err != nil {
-				t.Errorf("%s: goroutine %d: %v", pc.name, g, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-		}
-		if reuses, _ := pool.Stats(); reuses == 0 {
-			t.Errorf("%s: pool recycled nothing across %d requests", pc.name, N*M)
+			ref, err := prog.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Trap != vm.TrapExit {
+				t.Fatalf("%s: reference trapped: %v", name, ref.Err)
+			}
+
+			pool := prog.NewPool()
+			const N, M = 8, 6
+			errs := make([]error, N)
+			var wg sync.WaitGroup
+			for g := 0; g < N; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for r := 0; r < M; r++ {
+						res, err := pool.Serve("main")
+						if err != nil {
+							errs[g] = fmt.Errorf("req %d: %w", r, err)
+							return
+						}
+						if res.Cycles != ref.Cycles || res.Steps != ref.Steps ||
+							res.Output != ref.Output || res.Trap != ref.Trap ||
+							res.Mem != ref.Mem {
+							errs[g] = fmt.Errorf("req %d diverged from unpooled run", r)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			for g, err := range errs {
+				if err != nil {
+					t.Errorf("%s: goroutine %d: %v", name, g, err)
+				}
+			}
+			if reuses, _ := pool.Stats(); reuses == 0 {
+				t.Errorf("%s: pool recycled nothing across %d requests", name, N*M)
+			}
 		}
 	}
 }
